@@ -35,7 +35,7 @@ import (
 // leanEncoding caches the encoded zero tensors for one batch size.
 type leanEncoding struct {
 	batch   int
-	inShape []int
+	inShape tensor.Shape
 	input   []byte   // EncodeTensor of a zero input tensor
 	parts   [][]byte // per partition: EncodeTensor of its zero output
 }
@@ -72,12 +72,9 @@ type leanJob struct {
 
 // acquireLean checks a scratch out of the free list (building a fresh
 // one — with a new unique job id — only when the list is empty) and
-// resets its per-run state.
-func (d *Deployment) acquireLean(input *tensor.Tensor, deadline time.Duration, mode string) *leanJob {
-	var enc *leanEncoding
-	if d.cfg.SkipCompute {
-		enc = d.leanEncodingFor(input)
-	}
+// resets its per-run state. enc is the job's cached input/output
+// encodings under SkipCompute (nil otherwise).
+func (d *Deployment) acquireLean(enc *leanEncoding, deadline time.Duration, mode string) *leanJob {
 	d.leanMu.Lock()
 	var lj *leanJob
 	if n := len(d.leanFree); n > 0 {
@@ -127,31 +124,30 @@ func (d *Deployment) newLeanJobLocked() *leanJob {
 	return lj
 }
 
-// leanEncodingFor returns the cached zero-tensor encodings for the
-// input's batch size, building (or rebuilding, should the trailing
-// dimensions ever change) on first sight.
-func (d *Deployment) leanEncodingFor(input *tensor.Tensor) *leanEncoding {
-	shape := input.Shape()
+// leanEncodingFor returns the cached zero-tensor encodings for an
+// input of shape [batch, inner...], building (or rebuilding, should the
+// trailing dimensions ever change) on first sight.
+func (d *Deployment) leanEncodingFor(batch int, inner tensor.Shape) *leanEncoding {
 	d.leanMu.Lock()
-	enc := d.leanEnc[shape[0]]
-	if enc != nil && !sameShape(enc.inShape, shape) {
+	enc := d.leanEnc[batch]
+	if enc != nil && !inner.Equal(enc.inShape[1:]) {
 		enc = nil
 	}
 	if enc == nil {
-		enc = d.buildLeanEncoding(shape)
+		enc = d.buildLeanEncoding(append(tensor.Shape{batch}, inner...))
 		if d.leanEnc == nil {
 			d.leanEnc = make(map[int]*leanEncoding)
 		}
-		d.leanEnc[shape[0]] = enc
+		d.leanEnc[batch] = enc
 	}
 	d.leanMu.Unlock()
 	return enc
 }
 
-func (d *Deployment) buildLeanEncoding(shape []int) *leanEncoding {
+func (d *Deployment) buildLeanEncoding(shape tensor.Shape) *leanEncoding {
 	enc := &leanEncoding{
 		batch:   shape[0],
-		inShape: append([]int(nil), shape...),
+		inShape: shape,
 		input:   modelfmt.EncodeTensor(tensor.New(shape...)),
 		parts:   make([][]byte, len(d.parts)),
 	}
@@ -161,18 +157,6 @@ func (d *Deployment) buildLeanEncoding(shape []int) *leanEncoding {
 		enc.parts[i] = modelfmt.EncodeTensor(tensor.New(out...))
 	}
 	return enc
-}
-
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ReleaseReport hands a lean job's Report back to the deployment once

@@ -322,15 +322,39 @@ func hedgeDelayFrom(base time.Duration, u float64) time.Duration {
 const latencyHistorySize = 64
 
 // latencyRing is a fixed-size ring of recent successful attempt
-// durations for one partition function. Callers hold the deployment's
-// retryMu.
+// durations for one partition function, kept in arrival order for
+// eviction and in ascending order for percentile reads. Callers hold
+// the deployment's retryMu.
 type latencyRing struct {
-	buf  [latencyHistorySize]time.Duration
-	n    int // total recorded (may exceed len(buf))
-	next int
+	buf    [latencyHistorySize]time.Duration
+	sorted [latencyHistorySize]time.Duration // the window ascending, sorted[:size()]
+	n      int                               // total recorded (may exceed len(buf))
+	next   int
 }
 
+// add records d, evicting the oldest sample once the window is full.
+// The evicted value's slot in the sorted window (any copy of it) is
+// found by binary search and reused: d shifts into place from there,
+// moving at most len(buf)-1 entries.
 func (r *latencyRing) add(d time.Duration) {
+	n := r.size()
+	i := n
+	if n == len(r.buf) {
+		old := r.buf[r.next]
+		i = sort.Search(n, func(k int) bool { return r.sorted[k] >= old })
+	} else {
+		n++
+	}
+	s := r.sorted[:n]
+	for i > 0 && s[i-1] > d {
+		s[i] = s[i-1]
+		i--
+	}
+	for i+1 < n && s[i+1] < d {
+		s[i] = s[i+1]
+		i++
+	}
+	s[i] = d
 	r.buf[r.next] = d
 	r.next = (r.next + 1) % len(r.buf)
 	r.n++
@@ -350,9 +374,6 @@ func (r *latencyRing) percentile(p float64) time.Duration {
 	if n == 0 {
 		return 0
 	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, r.buf[:n])
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	idx := int(math.Ceil(p/100*float64(n))) - 1
 	if idx < 0 {
 		idx = 0
@@ -360,7 +381,7 @@ func (r *latencyRing) percentile(p float64) time.Duration {
 	if idx >= n {
 		idx = n - 1
 	}
-	return sorted[idx]
+	return r.sorted[idx]
 }
 
 // BreakerPolicy configures the per-partition-function circuit breaker:

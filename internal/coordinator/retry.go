@@ -149,7 +149,14 @@ type retryInfo struct {
 	holdBucket  *obs.CostBucket
 }
 
-func (ri retryInfo) retries() int { return ri.attempts - 1 }
+// retries is the number of re-attempts after the first. An operation
+// that failed fast on a spent deadline made no attempt, so no retries.
+func (ri retryInfo) retries() int {
+	if ri.attempts == 0 {
+		return 0
+	}
+	return ri.attempts - 1
+}
 
 // delay is the extra wall-clock the retries added in front of the
 // successful attempt's work: failed execution time, backoff waits, one

@@ -170,7 +170,12 @@ func (d *Deployment) run(input *tensor.Tensor, eager bool, deadline time.Duratio
 		// tree (failures included), recycled job id/keys/payloads, and the
 		// input encoding from the per-batch cache when SkipCompute lets
 		// tensor contents go unread.
-		lj = d.acquireLean(input, deadline, mode)
+		var enc *leanEncoding
+		if d.cfg.SkipCompute {
+			shape := input.Shape()
+			enc = d.leanEncodingFor(shape[0], shape[1:])
+		}
+		lj = d.acquireLean(enc, deadline, mode)
 		job, inKey = lj.id, lj.inKey
 		rep, st = &lj.rep, &lj.st
 		defer d.cleanupLean(lj)

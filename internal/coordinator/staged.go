@@ -11,16 +11,13 @@ import (
 	"ampsinf/internal/tensor"
 )
 
-// StagedOptions configures one staged job.
+// StagedOptions configures one staged job. The job's batch size is not
+// an option: it is the number of member inputs passed to BeginStaged.
 type StagedOptions struct {
 	// Deadline is the job's completion budget from its start (0 = the
 	// deployment default). Stage starts count against it, so a request
 	// that queued too long behind earlier pipeline stages fails fast.
 	Deadline time.Duration
-	// Batch is the number of member requests stacked into the job's
-	// input (≥ 1). Purely descriptive: it lands on the trace so batched
-	// jobs are recognizable in exports.
-	Batch int
 	// NoTrace skips materializing the success span tree, mirroring
 	// RunOptions.NoTrace: the report's Cost falls back to the job's
 	// meter-delta accumulator (exact), failure traces are still built,
@@ -54,6 +51,10 @@ type StagedJob struct {
 	st   *jobState
 	rep  *Report
 	opts StagedOptions
+	// batch is the number of member requests the job serves; a batched
+	// job's trace carries it, so batched jobs are recognizable in
+	// exports.
+	batch int
 	// lj is the recycled scratch a lean staged job runs on (nil
 	// otherwise); the StagedJob itself is then lj's embedded scratch.
 	lj *leanJob
@@ -78,19 +79,39 @@ type StagedJob struct {
 	spend float64
 }
 
-// BeginStaged opens a staged job: it assigns the job id and uploads the
-// input (retrying transient store faults) at the current platform
-// instant. On error the returned job is already finalized — its Report
-// carries the failure trace with the exact charges the upload billed.
-func (d *Deployment) BeginStaged(input *tensor.Tensor, opts StagedOptions) (*StagedJob, error) {
-	if opts.Batch < 1 {
-		opts.Batch = 1
+// BeginStaged opens a staged job serving one batch unit: members are
+// the unit's member inputs in order, served as their stack along the
+// batch dimension. It assigns the job id and uploads the input
+// (retrying transient store faults) at the current platform instant.
+// The members are stacked only when a stage reads the bytes: a lean
+// job under SkipCompute uploads the cached zero encoding for the
+// stacked shape, so its members are only shape-checked. Members whose
+// shapes do not stack return tensor.Stack's error and a nil job, before
+// anything is billed. On any other error the returned job is already
+// finalized — its Report carries the failure trace with the exact
+// charges the upload billed.
+func (d *Deployment) BeginStaged(members []*tensor.Tensor, opts StagedOptions) (*StagedJob, error) {
+	var enc *leanEncoding
+	var input *tensor.Tensor
+	switch {
+	case opts.Lean && d.cfg.SkipCompute:
+		batch, inner, err := stackedShape(members)
+		if err != nil {
+			return nil, err
+		}
+		enc = d.leanEncodingFor(batch, inner)
+	case len(members) == 1:
+		input = members[0]
+	default:
+		var err error
+		if input, err = tensor.Stack(members); err != nil {
+			return nil, err
+		}
 	}
 	var sj *StagedJob
 	var inKey string
-	var inData []byte
 	if opts.Lean {
-		lj := d.acquireLean(input, opts.Deadline, "pipelined")
+		lj := d.acquireLean(enc, opts.Deadline, "pipelined")
 		sj = &lj.sj
 		*sj = StagedJob{
 			d: d, job: lj.id, opts: opts, rep: &lj.rep, st: &lj.st, lj: lj,
@@ -100,11 +121,6 @@ func (d *Deployment) BeginStaged(input *tensor.Tensor, opts StagedOptions) (*Sta
 			storedBefore: lj.storedBefore[:0],
 		}
 		inKey = lj.inKey
-		if lj.enc != nil {
-			inData = lj.enc.input
-		} else {
-			inData = modelfmt.EncodeTensor(input)
-		}
 	} else {
 		tr := d.cfg.Tracer
 		sj = &StagedJob{
@@ -114,8 +130,14 @@ func (d *Deployment) BeginStaged(input *tensor.Tensor, opts StagedOptions) (*Sta
 			rootBucket: tr.NewBucket(),
 		}
 		inKey = sj.job + "/input"
+	}
+	var inData []byte
+	if enc != nil {
+		inData = enc.input
+	} else {
 		inData = modelfmt.EncodeTensor(input)
 	}
+	sj.batch = len(members)
 	sj.st.anchored = true
 	before := d.meterTotal()
 	upDur, upInfo, err := d.putWithRetry(inKey, inData, sj.st)
@@ -138,6 +160,21 @@ func (d *Deployment) BeginStaged(input *tensor.Tensor, opts StagedOptions) (*Sta
 		sj.storedBefore = make([]int64, 0, n)
 	}
 	return sj, nil
+}
+
+// stackedShape is the shape members stack to, as [batch, inner...],
+// checked exactly as tensor.Stack checks it. A lone member is the input
+// itself and needs no check.
+func stackedShape(members []*tensor.Tensor) (int, tensor.Shape, error) {
+	if len(members) == 1 {
+		shape := members[0].Shape()
+		return shape[0], shape[1:], nil
+	}
+	batch, err := tensor.StackBatch(members)
+	if err != nil {
+		return 0, nil, err
+	}
+	return batch, members[0].Shape()[1:], nil
 }
 
 // Rep returns the job's report. After a failed Begin/RunStage/Finish it
@@ -273,8 +310,8 @@ func (sj *StagedJob) Finish(completion time.Duration) (*Report, error) {
 		return sj.rep, nil
 	}
 	root := d.buildTrace(sj.rep, sj.job, false, sj.upDur, sj.upInfo, sj.results, sj.infos, sj.partBuckets, sj.rootBucket, sj.starts)
-	if sj.opts.Batch > 1 {
-		root.SetAttr("batch", fmt.Sprintf("%d", sj.opts.Batch))
+	if sj.batch > 1 {
+		root.SetAttr("batch", fmt.Sprintf("%d", sj.batch))
 	}
 	sj.rep.Trace = root
 	if d.cfg.Tracer == nil {

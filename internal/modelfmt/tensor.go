@@ -20,24 +20,25 @@ import (
 
 var tensorMagic = [4]byte{'A', 'M', 'P', 'T'}
 
-// EncodeTensor serializes a tensor for transfer.
+// EncodeTensor serializes a tensor for transfer into one exactly sized
+// buffer.
 func EncodeTensor(t *tensor.Tensor) []byte {
 	shape := t.Shape()
 	data := t.Data()
-	body := make([]byte, 0, 2+4*len(shape)+4*len(data))
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(shape)))
+	out := make([]byte, 4+2+4*len(shape)+4*len(data)+4)
+	copy(out, tensorMagic[:])
+	body := out[4 : len(out)-4]
+	binary.LittleEndian.PutUint16(body, uint16(len(shape)))
+	off := 2
 	for _, d := range shape {
-		body = binary.LittleEndian.AppendUint32(body, uint32(d))
+		binary.LittleEndian.PutUint32(body[off:], uint32(d))
+		off += 4
 	}
-	off := len(body)
-	body = append(body, make([]byte, 4*len(data))...)
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(body[off+4*i:], math.Float32bits(v))
+	for _, v := range data {
+		binary.LittleEndian.PutUint32(body[off:], math.Float32bits(v))
+		off += 4
 	}
-	out := make([]byte, 0, 4+len(body)+4)
-	out = append(out, tensorMagic[:]...)
-	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(body))
 	return out
 }
 

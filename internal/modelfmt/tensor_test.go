@@ -1,6 +1,7 @@
 package modelfmt
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -71,5 +72,29 @@ func TestTensorEncodedSize(t *testing.T) {
 	// magic(4) + rank(2) + dims(8) + data(400) + crc(4)
 	if len(blob) != 4+2+8+400+4 {
 		t.Fatalf("encoded size %d", len(blob))
+	}
+}
+
+// The wire bytes of a small tensor, pinned: the encoder may change how
+// it builds the buffer, never what it writes.
+func TestTensorEncodingBytes(t *testing.T) {
+	x := tensor.FromSlice([]float32{1.5, -2, 0, 3.25, -0.125, 65504}, 2, 3)
+	want := []byte{
+		0x41, 0x4d, 0x50, 0x54, // magic "AMPT"
+		0x02, 0x00, // rank 2
+		0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, // dims 2, 3
+		0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00, 0xc0, 0x00, 0x00, 0x00, 0x00,
+		0x00, 0x00, 0x50, 0x40, 0x00, 0x00, 0x00, 0xbe, 0x00, 0xe0, 0x7f, 0x47,
+		0xea, 0xe2, 0xb2, 0xe1, // crc32 over rank, dims and data
+	}
+	got := EncodeTensor(x)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoding changed:\ngot  %#v\nwant %#v", got, want)
+	}
+	if len(got) != cap(got) {
+		t.Fatalf("encoding has len %d, cap %d: want one exactly sized buffer", len(got), cap(got))
+	}
+	if a := testing.AllocsPerRun(20, func() { EncodeTensor(x) }); a > 1 {
+		t.Fatalf("EncodeTensor made %v allocations, want at most 1", a)
 	}
 }

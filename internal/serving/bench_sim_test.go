@@ -49,40 +49,53 @@ func deployWide(t testing.TB, maxLayers int) *testEnv {
 	return &testEnv{meter: meter, pl: pl, tracer: cfg.Tracer, dep: dep, model: m}
 }
 
-// benchStorm streams n Poisson requests through a fresh wide
-// deployment with full telemetry attached — metrics and a windowed
-// time series, the production configuration — and reports requests per
-// wall-clock second.
-func benchStorm(b *testing.B, n int, rate float64) {
+// benchStorm streams n Poisson requests through a wide deployment with
+// full telemetry attached — metrics and a windowed time series, the
+// production configuration — and reports requests per wall-clock
+// second. Every iteration redeploys onto a fresh platform, clock and
+// telemetry outside the timer, so each serves the same storm; a
+// throttle count that differs between iterations fails the benchmark.
+// staged selects the pipelined+batched scheduler.
+func benchStorm(b *testing.B, n int, rate float64, staged bool) {
 	b.Helper()
-	e := deployWide(b, 16)
-	e.pl.SetAccountConcurrency(256)
-	in := randomInput(e.model, 1)
-	mx := obs.NewMetrics()
-	ts := obs.NewTimeSeries(time.Second)
-	defer ts.Close()
-	cfg := Config{
-		Deployment: e.dep,
-		Throttle:   ThrottlePolicy{MaxAttempts: 500, JitterSeed: 3},
-		Metrics:    mx,
-		Series:     ts,
-	}
-	var lastThrottles int
+	throttles := -1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := deployWide(b, 16)
+		e.pl.SetAccountConcurrency(256)
+		in := randomInput(e.model, 1)
+		ts := obs.NewTimeSeries(time.Second)
+		cfg := Config{
+			Deployment: e.dep,
+			Throttle:   ThrottlePolicy{MaxAttempts: 500, JitterSeed: 3},
+			Metrics:    obs.NewMetrics(),
+			Series:     ts,
+		}
+		if staged {
+			cfg.Pipeline = PipelinePolicy{Depth: 3}
+			cfg.Batch = BatchPolicy{MaxBatch: 4, Window: 200 * time.Millisecond, JitterSeed: 5}
+		}
+		b.StartTimer()
 		rep, err := ServeStream(cfg, sim.NewPoisson(n, rate, 7), func(int) *tensor.Tensor { return in })
+		b.StopTimer()
+		ts.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
 		if rep.Completed != n {
 			b.Fatalf("completed %d of %d", rep.Completed, n)
 		}
-		lastThrottles = rep.Throttles
+		if throttles >= 0 && rep.Throttles != throttles {
+			b.Fatalf("iteration %d served a different storm: %d throttles, iteration 1 had %d", i+1, rep.Throttles, throttles)
+		}
+		throttles = rep.Throttles
+		b.StartTimer()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
-	b.ReportMetric(float64(lastThrottles)/float64(n), "throttles/req")
+	b.ReportMetric(float64(throttles)/float64(n), "throttles/req")
 }
 
 // BenchmarkSimMillionRequests is the discrete-event core's headline
@@ -91,13 +104,13 @@ func benchStorm(b *testing.B, n int, rate float64) {
 // scheduler. The whole trace never materializes; per-request results
 // fold into the summary as they settle.
 func BenchmarkSimMillionRequests(b *testing.B) {
-	benchStorm(b, 1_000_000, 100)
+	benchStorm(b, 1_000_000, 100, false)
 }
 
 // BenchmarkSimServe100k is the same storm at a size that keeps
 // multi-iteration benchmarking (and bench-diff noise estimates) cheap.
 func BenchmarkSimServe100k(b *testing.B) {
-	benchStorm(b, 100_000, 100)
+	benchStorm(b, 100_000, 100, false)
 }
 
 // BenchmarkServeStreamPipelined drives the pipelined+batched event
@@ -106,37 +119,7 @@ func BenchmarkSimServe100k(b *testing.B) {
 // batched invocations, O(backlog) memory. Same storm shape as the
 // sequential benchmarks so the req/s numbers compare directly.
 func BenchmarkServeStreamPipelined(b *testing.B) {
-	const (
-		n    = 100_000
-		rate = 100.0
-	)
-	e := deployWide(b, 16)
-	e.pl.SetAccountConcurrency(256)
-	in := randomInput(e.model, 1)
-	mx := obs.NewMetrics()
-	ts := obs.NewTimeSeries(time.Second)
-	defer ts.Close()
-	cfg := Config{
-		Deployment: e.dep,
-		Throttle:   ThrottlePolicy{MaxAttempts: 500, JitterSeed: 3},
-		Pipeline:   PipelinePolicy{Depth: 3},
-		Batch:      BatchPolicy{MaxBatch: 4, Window: 200 * time.Millisecond, JitterSeed: 5},
-		Metrics:    mx,
-		Series:     ts,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := ServeStream(cfg, sim.NewPoisson(n, rate, 7), func(int) *tensor.Tensor { return in })
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Completed != n {
-			b.Fatalf("completed %d of %d", rep.Completed, n)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	benchStorm(b, 100_000, 100, true)
 }
 
 // BenchmarkServeSequential50 pins the retained (non-streaming) serve

@@ -560,20 +560,17 @@ func servePipelinedLegacy(cfg Config, inputs []*tensor.Tensor, arrivals []time.D
 				}
 			}
 
-			in := inputs[leader]
+			members := inputs[leader : leader+u.Size]
 			if u.Size > 1 {
-				stacked, err := tensor.Stack(inputs[leader : leader+u.Size])
-				if err != nil {
+				if _, err := tensor.Stack(members); err != nil {
 					return nil, fmt.Errorf("serving: batching requests %d..%d: %w", leader, leader+u.Size-1, err)
 				}
-				in = stacked
 				mx.Inc("serving_batches_total", 1)
 				ts.Inc(now, "serving_batches_total", 1)
 			}
 			ts.Observe(now, "serving_batch_size", float64(u.Size))
-			sj, err := dep.BeginStaged(in, coordinator.StagedOptions{
+			sj, err := dep.BeginStaged(members, coordinator.StagedOptions{
 				Deadline: jobDeadline,
-				Batch:    u.Size,
 				NoTrace:  !sampler.Keep(uint64(leader)),
 			})
 			j := &legacyStageJob{

@@ -534,7 +534,7 @@ func runPipelined(cfg Config, src sim.Source, input func(int) *tensor.Tensor, st
 		return nil
 	}
 
-	var stackBuf []*tensor.Tensor
+	var members []*tensor.Tensor
 
 	for {
 		ev, haveEv := evs.Peek()
@@ -666,17 +666,11 @@ func runPipelined(cfg Config, src sim.Source, input func(int) *tensor.Tensor, st
 				}
 			}
 
-			in := input(leader)
+			members = members[:0]
+			for k := 0; k < u.Size; k++ {
+				members = append(members, input(leader+k))
+			}
 			if u.Size > 1 {
-				stackBuf = stackBuf[:0]
-				for k := 0; k < u.Size; k++ {
-					stackBuf = append(stackBuf, input(leader+k))
-				}
-				stacked, err := tensor.Stack(stackBuf)
-				if err != nil {
-					return nil, fmt.Errorf("serving: batching requests %d..%d: %w", leader, leader+u.Size-1, err)
-				}
-				in = stacked
 				ph.batches.Inc(1)
 				ph.tsBatches.Inc(now, 1)
 			}
@@ -690,12 +684,16 @@ func runPipelined(cfg Config, src sim.Source, input func(int) *tensor.Tensor, st
 				h.fallback.Inc(int64(u.Size))
 				h.tsFallback.Inc(now, int64(u.Size))
 			}
-			sj, err := curDep.BeginStaged(in, coordinator.StagedOptions{
+			// The coordinator stacks the members only if a stage reads
+			// them; members that cannot stack fail the serve (nil job).
+			sj, err := curDep.BeginStaged(members, coordinator.StagedOptions{
 				Deadline: jobDeadline,
-				Batch:    u.Size,
 				NoTrace:  stream || !sampler.Keep(uint64(leader)),
 				Lean:     stream,
 			})
+			if sj == nil {
+				return nil, fmt.Errorf("serving: batching requests %d..%d: %w", leader, leader+u.Size-1, err)
+			}
 			jid, j := jobs.Alloc()
 			j.seq = seqCounter
 			j.unit = u

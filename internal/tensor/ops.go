@@ -182,22 +182,11 @@ func BiasAdd(t *Tensor, bias *Tensor) *Tensor {
 // Stack concatenates tensors along the batch (outermost) dimension. All
 // inputs must share shape beyond the batch dim; batch sizes may differ.
 func Stack(ts []*Tensor) (*Tensor, error) {
-	if len(ts) == 0 {
-		return nil, fmt.Errorf("tensor: stack of zero tensors")
+	total, err := StackBatch(ts)
+	if err != nil {
+		return nil, err
 	}
-	first := ts[0].shape
-	if len(first) < 2 {
-		return nil, fmt.Errorf("tensor: stack needs batched tensors, got %v", first)
-	}
-	inner := first[1:]
-	total := 0
-	for _, t := range ts {
-		if len(t.shape) != len(first) || !Shape(t.shape[1:]).Equal(inner) {
-			return nil, fmt.Errorf("tensor: stack shape mismatch %v vs %v", first, t.shape)
-		}
-		total += t.shape[0]
-	}
-	outShape := append(Shape{total}, inner...)
+	outShape := append(Shape{total}, ts[0].shape[1:]...)
 	out := New(outShape...)
 	off := 0
 	for _, t := range ts {
@@ -205,6 +194,30 @@ func Stack(ts []*Tensor) (*Tensor, error) {
 		off += len(t.data)
 	}
 	return out, nil
+}
+
+// StackBatch checks ts exactly as Stack does, returning the same error
+// on a mismatch, and otherwise the stacked tensor's batch dimension —
+// the stacked shape is that batch followed by ts[0].Shape()[1:]. It
+// reads only shapes, so callers that need the stacked shape but never
+// its contents skip the copy.
+func StackBatch(ts []*Tensor) (int, error) {
+	if len(ts) == 0 {
+		return 0, fmt.Errorf("tensor: stack of zero tensors")
+	}
+	first := ts[0].shape
+	if len(first) < 2 {
+		return 0, fmt.Errorf("tensor: stack needs batched tensors, got %v", first)
+	}
+	inner := first[1:]
+	total := 0
+	for _, t := range ts {
+		if len(t.shape) != len(first) || !Shape(t.shape[1:]).Equal(inner) {
+			return 0, fmt.Errorf("tensor: stack shape mismatch %v vs %v", first, t.shape)
+		}
+		total += t.shape[0]
+	}
+	return total, nil
 }
 
 // ArgMax returns the index of the maximum element of a rank-1 or the last
