@@ -5,7 +5,10 @@
 // amounts (e.g. MobileNet at 512 MB for 22.03 s → $0.00018).
 package pricing
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Lambda pricing and quotas (2020).
 const (
@@ -133,9 +136,27 @@ func (q Quota) SearchBlocks(strideMB int) []int {
 	return blocks
 }
 
-// ExecutionCost returns the execution charge under the quota's billing
-// granularity.
-func (q Quota) ExecutionCost(memMB int, d time.Duration) float64 {
+// Validate reports a quota whose memory grid or timeout is ill-posed:
+// a non-positive block step or minimum block, a minimum above the
+// maximum, or a non-positive timeout.
+func (q Quota) Validate() error {
+	switch {
+	case q.MemoryStepMB <= 0:
+		return fmt.Errorf("pricing: MemoryStepMB = %d must be positive", q.MemoryStepMB)
+	case q.MinMemoryMB <= 0:
+		return fmt.Errorf("pricing: MinMemoryMB = %d must be positive", q.MinMemoryMB)
+	case q.MinMemoryMB > q.MaxMemoryMB:
+		return fmt.Errorf("pricing: MinMemoryMB = %d exceeds MaxMemoryMB = %d", q.MinMemoryMB, q.MaxMemoryMB)
+	case q.Timeout <= 0:
+		return fmt.Errorf("pricing: Timeout = %v must be positive", q.Timeout)
+	}
+	return nil
+}
+
+// BilledSeconds returns d rounded up to the quota's billing granularity,
+// in seconds: the time factor of ExecutionCost. It is non-decreasing
+// in d.
+func (q Quota) BilledSeconds(d time.Duration) float64 {
 	if d < 0 {
 		d = 0
 	}
@@ -143,8 +164,13 @@ func (q Quota) ExecutionCost(memMB int, d time.Duration) float64 {
 	if g <= 0 {
 		g = LambdaBillingGranularity
 	}
-	billed := (d + g - 1) / g * g
-	return float64(memMB) / 1024.0 * billed.Seconds() * LambdaGBSecond
+	return ((d + g - 1) / g * g).Seconds()
+}
+
+// ExecutionCost returns the execution charge under the quota's billing
+// granularity.
+func (q Quota) ExecutionCost(memMB int, d time.Duration) float64 {
+	return float64(memMB) / 1024.0 * q.BilledSeconds(d) * LambdaGBSecond
 }
 
 // LambdaExecutionCost returns the execution charge for a function with

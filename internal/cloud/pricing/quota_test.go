@@ -80,3 +80,36 @@ func TestQuotaExecutionCostGranularity(t *testing.T) {
 		t.Fatal("negative duration produced negative cost")
 	}
 }
+
+func TestQuotaValidate(t *testing.T) {
+	for _, q := range []Quota{Quota2020(), Quota2021()} {
+		if err := q.Validate(); err != nil {
+			t.Fatalf("shipped quota rejected: %v", err)
+		}
+	}
+	for name, edit := range map[string]func(*Quota){
+		"step":    func(q *Quota) { q.MemoryStepMB = 0 },
+		"min":     func(q *Quota) { q.MinMemoryMB = -128 },
+		"min>max": func(q *Quota) { q.MaxMemoryMB = q.MinMemoryMB - 1 },
+		"timeout": func(q *Quota) { q.Timeout = -time.Second },
+	} {
+		q := Quota2021()
+		edit(&q)
+		if q.Validate() == nil {
+			t.Errorf("%s: invalid quota %+v accepted", name, q)
+		}
+	}
+}
+
+func TestBilledSecondsRoundsUp(t *testing.T) {
+	q := Quota2021()
+	if got := q.BilledSeconds(1500 * time.Microsecond); got != 0.002 {
+		t.Fatalf("1.5 ms billed as %v s, want 0.002", got)
+	}
+	if got := q.BilledSeconds(-time.Second); got != 0 {
+		t.Fatalf("negative duration billed as %v s", got)
+	}
+	if got := (Quota{}).BilledSeconds(time.Millisecond); got != 0.1 {
+		t.Fatalf("zero granularity billed 1 ms as %v s, want the 2020 100 ms", got)
+	}
+}

@@ -105,3 +105,38 @@ func BenchmarkOptimizeBnBPath(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanMobileNetQuota2021Stride1 plans MobileNet (84 segments,
+// 3,570 spans) on the 1 MB grid the way a deployment that enforces an
+// SLO does: a cost-only New to find the cost-optimal response time,
+// then a fresh New under an SLO 12% tighter and a bisecting Optimize.
+func BenchmarkPlanMobileNetQuota2021Stride1(b *testing.B) {
+	req := request("mobilenet")
+	q := pricing.Quota2021()
+	req.Quota = &q
+	req.SearchStrideMB = 1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o, err := New(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		base, err := o.OptimizeCostOnly()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sloReq := req
+		sloReq.SLO = time.Duration(float64(base.EstTime) * 0.88)
+		o, err = New(sloReq)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := o.Optimize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if plan.LagrangeMultiplier == 0 {
+			b.Fatal("SLO did not bind")
+		}
+	}
+}

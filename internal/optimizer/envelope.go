@@ -22,7 +22,10 @@ package optimizer
 //     equals 1024 MB × 100 ms bit-for-bit) — bypasses the envelope
 //     entirely: solveSpan records the scan's own λ=0 argmin.
 //
-// A property test drives the envelope against the retained exact scan
+// The envelope covers the blocks a span's bounded scan has reached so
+// far (optimizer.go, scanCostOptimal); selectBlock extends it in block
+// order, so it is always the envelope of a prefix of the grid. A
+// property test drives selection against the reference's exact scan
 // across randomized multipliers.
 
 // envPoint is one line of a span's lower envelope.
@@ -63,11 +66,11 @@ func envQuery(env []envPoint, lambda float64) (int, float64) {
 	lo, hi := 0, len(env)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if env[mid].cost+lambda*env[mid].sec <= env[mid+1].cost+lambda*env[mid+1].sec {
+		if objective(env[mid].cost, env[mid].sec, lambda) <= objective(env[mid+1].cost, env[mid+1].sec, lambda) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return env[lo].j, env[lo].cost + lambda*env[lo].sec
+	return env[lo].j, objective(env[lo].cost, env[lo].sec, lambda)
 }

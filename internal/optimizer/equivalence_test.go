@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -13,12 +14,13 @@ import (
 	"ampsinf/internal/perf"
 )
 
-// The hot-path overhaul (prefix-sum profiling, parallel table build,
-// lower-envelope block selection, scratch reuse) claims byte-identical
-// plans, not approximately equal ones. These tests drive the fast path
-// against the retained reference implementation across models, quotas,
-// SLO tightness and solver modes, demanding reflect.DeepEqual — any
-// float that drifts by one ulp fails.
+// The hot path (prefix-sum profiling, parallel table build, bounded
+// lazy block scan, lower-envelope block selection, scratch reuse)
+// claims byte-identical plans, not approximately equal ones. These
+// tests drive it against the reference planner in reference_test.go
+// across models, quotas, search strides, SLO tightness and solver
+// modes, demanding reflect.DeepEqual — any float that drifts by one ulp
+// fails.
 
 func equivRequest(t *testing.T, model string, quota2021 bool, useBnB bool) Request {
 	t.Helper()
@@ -34,7 +36,9 @@ func equivRequest(t *testing.T, model string, quota2021 bool, useBnB bool) Reque
 	return req
 }
 
-func comparePlans(t *testing.T, base Request, fractions []float64, tag string) {
+// comparePlans checks the plans at each SLO fraction of the
+// cost-optimal time and returns how many of them bound the SLO (λ > 0).
+func comparePlans(t *testing.T, base Request, fractions []float64, tag string) (binding int) {
 	t.Helper()
 	ref, err := newReference(base)
 	if err != nil {
@@ -50,7 +54,7 @@ func comparePlans(t *testing.T, base Request, fractions []float64, tag string) {
 		if _, fastErr := fastO.OptimizeCostOnly(); fastErr == nil {
 			t.Fatalf("%s: reference infeasible (%v) but fast path found a plan", tag, refErr)
 		}
-		return
+		return 0
 	}
 	for _, frac := range fractions {
 		req := base
@@ -74,7 +78,11 @@ func comparePlans(t *testing.T, base Request, fractions []float64, tag string) {
 		if !reflect.DeepEqual(fast, slow) {
 			t.Errorf("%s frac=%.2f: plans differ\nfast: %+v\nref:  %+v", tag, frac, fast, slow)
 		}
+		if fast.LagrangeMultiplier > 0 {
+			binding++
+		}
 	}
+	return binding
 }
 
 func TestFastMatchesReferencePlans(t *testing.T) {
@@ -87,6 +95,19 @@ func TestFastMatchesReferencePlans(t *testing.T) {
 		for _, quota2021 := range []bool{false, true} {
 			base := equivRequest(t, model, quota2021, false)
 			comparePlans(t, base, fractions, fmt.Sprintf("%s quota2021=%v", model, quota2021))
+		}
+	}
+}
+
+func TestFastMatchesReferencePlansStride1(t *testing.T) {
+	// The 2021 quota at a 1 MB stride is the grid where the bounded scan
+	// prunes most (10,113 blocks per span). Fractions below 1 bind the
+	// SLO, so the bisection's λ > 0 queries extend the scans lazily.
+	for _, model := range []string{"tinycnn", "linearnet", "xception"} {
+		base := equivRequest(t, model, true, false)
+		base.SearchStrideMB = 1
+		if comparePlans(t, base, []float64{0.88, 0.6}, model+" stride1") == 0 {
+			t.Errorf("%s stride1: no SLO bound, so no λ > 0 query ran", model)
 		}
 	}
 }
@@ -141,44 +162,146 @@ func TestFastMatchesReferenceConfigAPIs(t *testing.T) {
 }
 
 func TestEnvelopeMatchesExactScan(t *testing.T) {
-	// For every feasible span and a sweep of randomized multipliers, the
-	// envelope query must return exactly the block index and objective
+	// For every feasible span and a sweep of randomized multipliers,
+	// selectBlock must return exactly the block index and objective
 	// value of the reference's full scan (fresh objective slice +
-	// lowest-index argmin).
+	// lowest-index argmin). Each visit order starts from a fresh
+	// Optimizer, so the lazy scan extension is reached from both sides:
+	// descending λ extends each span to its fastest needed block at
+	// once, ascending λ extends it step by step.
 	rng := rand.New(rand.NewSource(7))
-	for _, model := range []string{"tinycnn", "vgg16", "resnet50"} {
-		for _, quota2021 := range []bool{false, true} {
-			req := equivRequest(t, model, quota2021, false)
+	lambdas := []float64{0, 1e-9, 1e-6, 1e-3, 0.1, 5, 1e3}
+	for i := 0; i < 40; i++ {
+		lambdas = append(lambdas, math.Exp(rng.Float64()*30-12))
+	}
+	ascending := append([]float64(nil), lambdas...)
+	sort.Float64s(ascending)
+	descending := make([]float64, len(ascending))
+	for i, l := range ascending {
+		descending[len(ascending)-1-i] = l
+	}
+	orders := map[string][]float64{"random": lambdas, "ascending": ascending, "descending": descending}
+	cases := []struct {
+		model     string
+		quota2021 bool
+		stride    int
+	}{
+		{"tinycnn", false, 0}, {"tinycnn", true, 0}, {"tinycnn", true, 1},
+		{"linearnet", true, 1},
+		{"vgg16", false, 0}, {"vgg16", true, 0},
+		{"resnet50", false, 0}, {"resnet50", true, 0},
+	}
+	for _, c := range cases {
+		req := equivRequest(t, c.model, c.quota2021, false)
+		req.SearchStrideMB = c.stride
+		refO, err := newReference(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The reference answer for every (span, λ), computed once.
+		type answer struct {
+			j int
+			v float64
+		}
+		S := len(refO.Segments())
+		want := map[[2]int]map[float64]answer{}
+		for a := 0; a < S; a++ {
+			for b := a + 1; b <= S; b++ {
+				if !refO.table[a][b].feasible {
+					continue
+				}
+				m := map[float64]answer{}
+				for _, lambda := range lambdas {
+					j, v := refO.selectBlockRef(refO.table[a][b], lambda)
+					m[lambda] = answer{j, v}
+				}
+				want[[2]int{a, b}] = m
+			}
+		}
+		for name, order := range orders {
 			fastO, err := New(req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refO, err := newReference(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			S := len(fastO.Segments())
-			lambdas := []float64{0, 1e-9, 1e-6, 1e-3, 0.1, 5, 1e3}
-			for i := 0; i < 40; i++ {
-				lambdas = append(lambdas, math.Exp(rng.Float64()*30-12))
-			}
-			for a := 0; a < S; a++ {
-				for b := a + 1; b <= S; b++ {
-					fsc := &fastO.table[a][b]
-					rsc := refO.table[a][b]
+			for _, lambda := range order {
+				for span, m := range want {
+					fsc := &fastO.table[span[0]][span[1]]
 					if !fsc.feasible {
-						continue
+						t.Fatalf("%+v span %v: feasible in the reference only", c, span)
 					}
-					for _, lambda := range lambdas {
-						gj, gv := fastO.selectBlock(fsc, lambda)
-						wj, wv := refO.selectBlockRef(rsc, lambda)
-						if gj != wj || gv != wv {
-							t.Fatalf("%s quota2021=%v span [%d,%d) λ=%g: envelope (%d, %v) vs scan (%d, %v)",
-								model, quota2021, a, b, lambda, gj, gv, wj, wv)
-						}
+					gj, gv := fastO.selectBlock(fsc, lambda)
+					if w := m[lambda]; gj != w.j || gv != w.v {
+						t.Fatalf("%+v %s span %v λ=%g: selectBlock (%d, %v) vs scan (%d, %v)",
+							c, name, span, lambda, gj, gv, w.j, w.v)
 					}
 				}
 			}
 		}
+	}
+}
+
+// scannedShare is the fraction of the span×block grid, from each span's
+// working-set floor up, that the bounded scans have evaluated so far.
+func scannedShare(o *Optimizer) float64 {
+	var scanned, grid int
+	for a := range o.table {
+		for b := a + 1; b < len(o.table[a]); b++ {
+			sc := &o.table[a][b]
+			if !sc.capsOK {
+				continue
+			}
+			floor := sort.SearchInts(o.blocks, sc.minMem)
+			scanned += sc.next - floor
+			grid += len(o.blocks) - floor
+		}
+	}
+	return float64(scanned) / float64(grid)
+}
+
+func TestBoundedScanPrunesStride1Grid(t *testing.T) {
+	// A full sweep evaluates every block above each span's floor; the
+	// cost bound must stop MobileNet's cost-only scans well short of
+	// that on the 1 MB grid, and a binding SLO's lazy extensions must
+	// leave most of the grid untouched too.
+	req := equivRequest(t, "mobilenet", true, false)
+	req.SearchStrideMB = 1
+	o, err := New(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := o.OptimizeCostOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if share := scannedShare(o); share >= 0.5 {
+		t.Fatalf("cost-only New scanned %.1f%% of the grid, want < 50%%", 100*share)
+	}
+	req.SLO = time.Duration(float64(base.EstTime) * 0.88)
+	o, err = New(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := o.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.LagrangeMultiplier == 0 {
+		t.Fatal("SLO did not bind")
+	}
+	if share := scannedShare(o); share >= 0.5 {
+		t.Fatalf("binding-SLO Optimize scanned %.1f%% of the grid, want < 50%%", 100*share)
+	}
+}
+
+func TestOverflowingTimesMatchReference(t *testing.T) {
+	// At 1 FLOP/s MobileNet's small-memory blocks take longer than
+	// time.Duration can hold. The time model saturates, so times stay
+	// non-increasing in memory and the bounded scan still agrees with
+	// the full sweep: no plan fits the timeout.
+	req := equivRequest(t, "mobilenet", false, false)
+	req.Perf.PeakGFLOPS = 1e-9
+	comparePlans(t, req, []float64{0}, "mobilenet at 1 FLOP/s")
+	if plan, err := Optimize(req); err == nil {
+		t.Fatalf("planned %v at %v despite compute past the timeout", plan.Memories(), plan.EstTime)
 	}
 }

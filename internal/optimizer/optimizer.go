@@ -19,16 +19,23 @@
 // λ is found exactly by dynamic programming over segment boundaries. An
 // outer bisection drives λ to the smallest feasible plan cost.
 //
-// The hot path is engineered around three precomputations whose outputs
-// are byte-identical to the direct formulation (DESIGN.md §10): O(1)
+// The hot path is engineered around precomputations whose outputs are
+// byte-identical to the direct formulation (DESIGN.md §10): O(1)
 // prefix-sum span profiling (perf.SpanProfiler), a parallel span-table
-// build over the independent (a, b) cells, and a per-span lower envelope
-// of the (time, cost) block frontier answering any λ in O(log L) instead
-// of an O(L) rescan. A retained reference implementation of the original
-// single-threaded scans backs the equivalence property tests.
+// build over the independent (a, b) cells, a block table holding each
+// memory block's span-independent operands, and a bounded per-span
+// block scan. A span's time never rises with memory, so its time at the
+// largest block bounds every block's cost from below; the scan walks the
+// ascending grid only until that bound strictly exceeds the best value
+// found, and resumes lazily when a larger λ needs more blocks. The
+// scanned prefix is folded into a lower envelope of the (time, cost)
+// block frontier answering any λ in O(log L). The test suite keeps a
+// reference implementation of the original dense scans and asserts
+// that plans match it exactly.
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -38,6 +45,7 @@ import (
 	"time"
 
 	"ampsinf/internal/cloud/pricing"
+	"ampsinf/internal/miqp"
 	"ampsinf/internal/nn"
 	"ampsinf/internal/perf"
 )
@@ -104,6 +112,23 @@ func (r *Request) fillDefaults() {
 	}
 }
 
+// ErrInvalidRequest is wrapped by the error New returns for a Request
+// that makes the planning problem ill-posed: no model, a quota with a
+// non-positive block step, minimum block or timeout (or a minimum above
+// the maximum), or perf parameters that fail perf.Params.Validate.
+var ErrInvalidRequest = errors.New("optimizer: invalid request")
+
+// validate checks a defaults-filled request.
+func (r *Request) validate() error {
+	if err := r.Quota.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	}
+	if err := r.Perf.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	}
+	return nil
+}
+
 // LambdaPlan is one partition's provisioning decision.
 type LambdaPlan struct {
 	// Segment span [SegLo, SegHi) and the layer range it covers.
@@ -164,39 +189,54 @@ type spanChoice struct {
 	memIdx   int // λ=0 optimal index into blocks, or -1
 	time     time.Duration
 	cost     float64 // S_i without the position-dependent storage term
-	// Span invariants for on-demand per-block evaluation (fast path):
-	// working-set floor (Eq. 7), S3 transfer time and the WeightScale-
-	// adjusted profile.
+	// Span invariants for on-demand per-block evaluation: working-set
+	// floor (Eq. 7), S3 transfer time and the hoisted time model.
 	minMem   int
 	transfer time.Duration
-	prof     perf.SegmentProfile
-	// env is the lower envelope of (time, cost) over allowed blocks; the
-	// Lagrangian re-weighting re-selects without re-profiling (fast path,
-	// scan mode).
+	eval     perf.EndToEndEval
+	// Bounded-scan state (fast path). Blocks from the working-set floor
+	// up to next have been evaluated and folded into env; lbSec and
+	// secMax are the billed and actual seconds at the largest block,
+	// the span's shortest time, and nextBound is block next's cost
+	// billed at lbSec, a lower bound on every unscanned block's cost.
+	next      int
+	nextBound float64
+	lbSec     float64
+	secMax    float64
+	// env is the lower envelope of (time, cost) over the scanned allowed
+	// blocks; the Lagrangian re-weighting re-selects without
+	// re-profiling.
 	env []envPoint
-	// Dense per-block tables, retained by the reference path and by BnB
-	// mode (the branch-and-bound oracle consumes the explicit block set).
+	// Dense per-block tables, kept by BnB mode (the branch-and-bound
+	// oracle consumes the explicit block set).
 	times []time.Duration
 	costs []float64
 	allow []bool
 }
 
+// memBlock is one search-grid block's span-independent operands: the
+// time model's share and pressure inputs, and the GB size the bill
+// multiplies (pricing.Quota.ExecutionCost's float64(mem)/1024).
+type memBlock struct {
+	model perf.Block
+	gb    float64
+}
+
 // Optimizer precomputes span tables for one model and answers Optimize
 // calls. Create with New. An Optimizer reuses internal scratch buffers
-// across bisection steps, so a single instance must not be used from
-// multiple goroutines concurrently (constructing one Optimizer per
-// Optimize call, as the package-level Optimize does, is always safe).
+// across bisection steps and extends span scans lazily while it
+// solves, so a single instance must not be used from multiple
+// goroutines concurrently (constructing one Optimizer per Optimize
+// call, as the package-level Optimize does, is always safe).
 type Optimizer struct {
 	req      Request
 	segs     []nn.Segment
 	blocks   []int
+	grid     []memBlock // parallel to blocks
 	profiler *perf.SpanProfiler
-	// reference routes every solve through the retained pre-overhaul
-	// implementation; equivalence tests assert byte-identical plans.
-	reference bool
 	// table[a][b] is the per-lambda data for the span [a, b).
 	table [][]spanChoice
-	// DP scratch reused across solveForLambda calls (fast path).
+	// DP scratch reused across solveForLambda calls.
 	dpBest   [][]float64
 	dpPrev   [][]int
 	dpChoice [][]int
@@ -204,43 +244,17 @@ type Optimizer struct {
 	bnb bnbScratch
 }
 
-// New profiles the model and precomputes the per-span decision tables.
+// New validates the request, profiles the model and precomputes the
+// per-span decision tables. An ill-posed request yields an error
+// wrapping ErrInvalidRequest.
 func New(req Request) (*Optimizer, error) {
-	return newOptimizer(req, false)
-}
-
-// newReference builds an Optimizer that solves everything through the
-// retained reference (pre-overhaul) path. Tests compare its plans
-// byte-for-byte against New's.
-func newReference(req Request) (*Optimizer, error) {
-	return newOptimizer(req, true)
-}
-
-func newOptimizer(req Request, reference bool) (*Optimizer, error) {
-	if req.Model == nil {
-		return nil, fmt.Errorf("optimizer: nil model")
-	}
-	req.fillDefaults()
-	segs := req.Model.Segments()
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("optimizer: model %q has no segments", req.Model.Name)
-	}
-	o := &Optimizer{
-		req: req, segs: segs,
-		blocks:    req.Quota.SearchBlocks(req.SearchStrideMB),
-		profiler:  perf.NewSpanProfiler(req.Model, segs),
-		reference: reference,
-	}
-	if reference {
-		o.buildTableRef()
-		return o, nil
+	o, err := prepare(req)
+	if err != nil {
+		return nil, err
 	}
 	o.buildTable()
-	S := len(segs)
-	K := req.MaxLambdas
-	if K > S {
-		K = S
-	}
+	S := len(o.segs)
+	K := min(o.req.MaxLambdas, S)
 	o.dpBest = make([][]float64, S+1)
 	o.dpPrev = make([][]int, S+1)
 	o.dpChoice = make([][]int, S+1)
@@ -250,6 +264,31 @@ func newOptimizer(req Request, reference bool) (*Optimizer, error) {
 		o.dpChoice[b] = make([]int, K+1)
 	}
 	return o, nil
+}
+
+// prepare validates and defaults the request and sets up the block grid
+// and span profiler, leaving the span table to the caller.
+func prepare(req Request) (*Optimizer, error) {
+	if req.Model == nil {
+		return nil, fmt.Errorf("%w: nil model", ErrInvalidRequest)
+	}
+	req.fillDefaults()
+	if err := req.validate(); err != nil {
+		return nil, err
+	}
+	segs := req.Model.Segments()
+	if len(segs) == 0 {
+		return nil, fmt.Errorf("%w: model %q has no segments", ErrInvalidRequest, req.Model.Name)
+	}
+	blocks := req.Quota.SearchBlocks(req.SearchStrideMB)
+	grid := make([]memBlock, len(blocks))
+	for j, mem := range blocks {
+		grid[j] = memBlock{model: req.Perf.Block(mem), gb: float64(mem) / 1024.0}
+	}
+	return &Optimizer{
+		req: req, segs: segs, blocks: blocks, grid: grid,
+		profiler: perf.NewSpanProfiler(req.Model, segs),
+	}, nil
 }
 
 // Segments exposes the model's atomic segments.
@@ -278,8 +317,9 @@ func (o *Optimizer) buildTable() {
 		workers = len(cells)
 	}
 	if workers <= 1 {
+		var envBuf []envPoint
 		for _, c := range cells {
-			o.table[c.a][c.b] = o.solveSpan(c.a, c.b)
+			o.table[c.a][c.b] = o.solveSpan(c.a, c.b, &envBuf)
 		}
 		return
 	}
@@ -289,13 +329,14 @@ func (o *Optimizer) buildTable() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var envBuf []envPoint
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(cells) {
 					return
 				}
 				c := cells[i]
-				o.table[c.a][c.b] = o.solveSpan(c.a, c.b)
+				o.table[c.a][c.b] = o.solveSpan(c.a, c.b, &envBuf)
 			}
 		}()
 	}
@@ -303,17 +344,17 @@ func (o *Optimizer) buildTable() {
 }
 
 // solveSpan evaluates a candidate partition covering segments [a, b):
-// feasibility (Eqs. 4–7), per-block T_i and S_i, and the cost-minimal
-// block (the λ=0 subproblem). The fast path profiles the span in O(1)
-// and folds each allowed block straight into the lower envelope instead
-// of materializing dense per-block tables; BnB mode keeps the dense
-// tables the branch-and-bound oracle consumes.
-func (o *Optimizer) solveSpan(a, b int) spanChoice {
+// feasibility (Eqs. 4–7) and the cost-minimal block (the λ=0
+// subproblem). The fast path profiles the span in O(1) and runs the
+// bounded prefix scan (scanCostOptimal), growing the envelope in the
+// worker's envBuf and keeping a copy; BnB mode fills the
+// dense per-block tables the branch-and-bound oracle consumes.
+func (o *Optimizer) solveSpan(a, b int, envBuf *[]envPoint) spanChoice {
 	prof := o.profiler.Profile(a, b)
 	// Quantization shrinks the shipped and loaded weight bytes; compute
 	// is unchanged (weights are dequantized on load).
 	prof.WeightsBytes = int64(float64(prof.WeightsBytes) * o.req.WeightScale)
-	sc := spanChoice{memIdx: -1, prof: prof}
+	sc := spanChoice{memIdx: -1}
 
 	// Constraint (6): per-partition layer cap.
 	if cap := o.req.MaxLayersPerPartition; cap > 0 && prof.Layers > cap {
@@ -337,54 +378,30 @@ func (o *Optimizer) solveSpan(a, b int) spanChoice {
 	// a prefix of the ascending block grid, skipped without evaluation.
 	sc.minMem = p.MinFeasibleMemoryMB(prof.WeightsBytes, q.MinMemoryMB, q.MemoryStepMB)
 	sc.transfer = o.transferTime(prof.InBytes) + o.transferTime(prof.OutBytes)
+	sc.eval = p.SpanEval(prof.FLOPs, prof.WeightsBytes)
+	floor := sort.SearchInts(o.blocks, sc.minMem)
 
-	L := len(o.blocks)
-	dense := o.req.UseBnB
-	if dense {
+	if o.req.UseBnB {
+		L := len(o.blocks)
 		sc.times = make([]time.Duration, L)
 		sc.costs = make([]float64, L)
 		sc.allow = make([]bool, L)
-	}
-
-	eval := p.SpanEval(prof.FLOPs, prof.WeightsBytes)
-	zeroIdx, zeroVal := -1, math.Inf(1)
-	for j := sort.SearchInts(o.blocks, sc.minMem); j < L; j++ {
-		mem := o.blocks[j]
-		t := eval.Time(mem) + sc.transfer
-		if t > q.Timeout {
-			continue
+		for j := floor; j < L; j++ {
+			if t, cost, ok := o.evalBlock(&sc, j); ok {
+				sc.allow[j], sc.times[j], sc.costs[j] = true, t, cost
+			}
 		}
-		// S_i (Eq. 3) without the position-dependent q_i·T·H storage
-		// term, which is settled once the cut is known (it is orders of
-		// magnitude below the decision-relevant terms).
-		cost := q.ExecutionCost(mem, t) +
-			pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest
-		if dense {
-			sc.allow[j] = true
-			sc.times[j] = t
-			sc.costs[j] = cost
-			continue
-		}
-		if cost < zeroVal {
-			zeroIdx, zeroVal = j, cost
-		}
-		s := t.Seconds()
-		if n := len(sc.env); n > 0 && s == sc.env[n-1].sec {
-			// Time plateau: the same duration at more memory costs
-			// strictly more (same billed time, higher GB-seconds), and
-			// the earlier block also wins the scan's index tie-break.
-			continue
-		}
-		sc.env = envPush(sc.env, envPoint{j: j, sec: s, cost: cost})
-	}
-
-	if dense {
 		// BnB selects the λ=0 block through the full solver, exactly as
 		// every later λ step will (fresh per-call scratch: the parallel
 		// table build must not share the Optimizer's buffers).
 		sc.memIdx, _ = o.selectBlockBnB(&sc, 0, nil)
 	} else {
-		sc.memIdx = zeroIdx
+		sc.env = (*envBuf)[:0]
+		sc.memIdx = o.scanCostOptimal(&sc, floor)
+		*envBuf = sc.env
+		// The span keeps a copy with room for the λ > 0 extensions to
+		// grow in place.
+		sc.env = append(make([]envPoint, 0, 2*len(sc.env)), sc.env...)
 	}
 	sc.feasible = sc.memIdx >= 0
 	if sc.feasible {
@@ -397,13 +414,105 @@ func (o *Optimizer) solveSpan(a, b int) spanChoice {
 	return sc
 }
 
+// scanCostOptimal solves the λ=0 subproblem of a span by a bounded
+// scan of the ascending block grid from floor, returning the scan's
+// leftmost cost argmin or -1.
+//
+// With validated parameters a span's time is non-increasing in memory,
+// so its time at the largest block, tMax, is its shortest. Billing tMax
+// at block k — the same float expression as block k's own cost, with a
+// billed time no larger — gives a bound LB_k ≤ cost_k, and the bound
+// grows with k. Once a bound strictly exceeds the best cost found, no
+// later block can win or tie, so the scan stops there with the full
+// scan's answer; selectBlock resumes it from sc.next when a λ > 0 needs
+// more of the grid. A tMax past the timeout rules out every block.
+func (o *Optimizer) scanCostOptimal(sc *spanChoice, floor int) int {
+	L := len(o.blocks)
+	sc.next = L
+	if floor == L {
+		return -1
+	}
+	tMax := sc.eval.TimeAt(o.grid[L-1].model) + sc.transfer
+	if tMax > o.req.Quota.Timeout {
+		return -1
+	}
+	sc.lbSec = o.req.Quota.BilledSeconds(tMax)
+	sc.secMax = tMax.Seconds()
+	o.seek(sc, floor)
+	best, bestCost := -1, math.Inf(1)
+	for sc.next < L && sc.nextBound <= bestCost {
+		if j, _, cost, ok := o.scanNext(sc); ok && cost < bestCost {
+			best, bestCost = j, cost
+		}
+	}
+	return best
+}
+
+// seek moves the scan cursor to block k and caches its bound LB_k.
+func (o *Optimizer) seek(sc *spanChoice, k int) {
+	sc.next = k
+	if k < len(o.blocks) {
+		sc.nextBound = blockCost(o.grid[k].gb, sc.lbSec)
+	}
+}
+
+// scanNext evaluates block sc.next, advances the cursor and, when the
+// block is allowed, folds it into the span's lower envelope. It returns
+// the block's index, time in seconds and cost.
+func (o *Optimizer) scanNext(sc *spanChoice) (j int, s, cost float64, ok bool) {
+	j = sc.next
+	o.seek(sc, j+1)
+	t, cost, ok := o.evalBlock(sc, j)
+	if !ok {
+		return j, 0, 0, false
+	}
+	s = t.Seconds()
+	if n := len(sc.env); n > 0 && s == sc.env[n-1].sec {
+		// Time plateau: the same duration at more memory costs at least
+		// as much (same billed time, more GB-seconds), and the earlier
+		// block also wins the scan's index tie-break.
+		return j, s, cost, true
+	}
+	sc.env = envPush(sc.env, envPoint{j: j, sec: s, cost: cost})
+	return j, s, cost, true
+}
+
+// blockCost is S_i (Eq. 3) without the position-dependent q_i·T·H
+// storage term, which is settled once the cut is known (it is orders of
+// magnitude below the decision-relevant terms): ExecutionCost from the
+// block's GB size and billed seconds, plus the per-invocation fees.
+func blockCost(gb, billedSec float64) float64 {
+	return gb*billedSec*pricing.LambdaGBSecond +
+		pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest
+}
+
+// objective is the relaxed per-span value the λ-DP minimizes. The
+// envelope, the scan and the scan's bound all evaluate it through this
+// one expression, so the bound is ordered against the values it bounds
+// however the compiler rounds or fuses it.
+func objective(cost, sec, lambda float64) float64 {
+	return cost + lambda*sec
+}
+
 func (o *Optimizer) transferTime(bytes int64) time.Duration {
 	sec := float64(bytes) / (o.req.BandwidthMBps * 1024 * 1024)
 	return o.req.RequestLatency + time.Duration(sec*float64(time.Second))
 }
 
+// evalBlock returns (T_i, S_i) for block j of a span that passes the
+// caps, j at or above the working-set floor; ok is false when T_i
+// exceeds the platform timeout.
+func (o *Optimizer) evalBlock(sc *spanChoice, j int) (time.Duration, float64, bool) {
+	b := &o.grid[j]
+	t := sc.eval.TimeAt(b.model) + sc.transfer
+	if t > o.req.Quota.Timeout {
+		return 0, 0, false
+	}
+	return t, blockCost(b.gb, o.req.Quota.BilledSeconds(t)), true
+}
+
 // blockTimeCost returns (T_i, S_i) for block index j of a solved span,
-// serving dense tables when the span retains them and otherwise
+// serving dense tables when the span keeps them and otherwise
 // re-deriving the pair from the span invariants — the same float
 // expressions the table build evaluated, hence the same bits.
 func (o *Optimizer) blockTimeCost(sc *spanChoice, j int) (time.Duration, float64, bool) {
@@ -413,32 +522,23 @@ func (o *Optimizer) blockTimeCost(sc *spanChoice, j int) (time.Duration, float64
 		}
 		return sc.times[j], sc.costs[j], true
 	}
-	if !sc.capsOK || j < 0 || j >= len(o.blocks) {
+	if !sc.capsOK || j < 0 || j >= len(o.blocks) || o.blocks[j] < sc.minMem {
 		return 0, 0, false
 	}
-	mem := o.blocks[j]
-	if mem < sc.minMem {
-		return 0, 0, false
-	}
-	p := o.req.Perf
-	eval := p.SpanEval(sc.prof.FLOPs, sc.prof.WeightsBytes)
-	t := eval.Time(mem) + sc.transfer
-	if t > o.req.Quota.Timeout {
-		return 0, 0, false
-	}
-	cost := o.req.Quota.ExecutionCost(mem, t) +
-		pricing.LambdaInvocation + pricing.S3GetRequest + pricing.S3PutRequest
-	return t, cost, true
+	return o.evalBlock(sc, j)
 }
 
 // selectBlock solves the per-lambda subproblem min_j cost_j + λ·time_j
 // over the allowed one-hot x — the paper's Eq. (12)–(14). With UseBnB it
 // constructs the explicit 0-1 quadratic program (quadratic term v·u·x²
 // from price×compute, linear term from transfers and λ) and runs it
-// through QCR + branch-and-bound; otherwise the span's precomputed lower
-// envelope answers in O(log L). λ = 0 returns the scan argmin recorded
-// at build time, where exact cost ties between blocks resolve by block
-// index.
+// through QCR + branch-and-bound. Otherwise λ = 0 returns the scan
+// argmin recorded at build time, where exact cost ties between blocks
+// resolve by block index, and λ > 0 queries the envelope of the scanned
+// prefix in O(log L). While the next unscanned block's bound on
+// cost + λ·time (its nextBound plus λ times the span's shortest time)
+// does not strictly exceed the best value, the scan extends block by
+// block, so the answer is always the full scan's leftmost argmin.
 func (o *Optimizer) selectBlock(sc *spanChoice, lambda float64) (int, float64) {
 	if o.req.UseBnB {
 		return o.selectBlockBnB(sc, lambda, &o.bnb)
@@ -449,7 +549,15 @@ func (o *Optimizer) selectBlock(sc *spanChoice, lambda float64) (int, float64) {
 	if lambda == 0 {
 		return sc.memIdx, sc.cost
 	}
-	return envQuery(sc.env, lambda)
+	j, v := envQuery(sc.env, lambda)
+	for sc.next < len(o.blocks) && objective(sc.nextBound, sc.secMax, lambda) <= v {
+		if k, sec, cost, ok := o.scanNext(sc); ok {
+			if val := objective(cost, sec, lambda); val < v {
+				j, v = k, val
+			}
+		}
+	}
+	return j, v
 }
 
 // bnbScratch holds the reusable buffers for the explicit binary-QP
@@ -514,6 +622,26 @@ func (o *Optimizer) selectBlockBnB(sc *spanChoice, lambda float64, scr *bnbScrat
 	return solveOneHotQP(idx, q, pvec, ones)
 }
 
+// solveOneHotQP runs the constructed binary QP (Σx = 1) through
+// QCR + branch-and-bound and maps the winning row back to its block
+// index.
+func solveOneHotQP(idx []int, q [][]float64, pvec, ones []float64) (int, float64) {
+	pr := &miqp.Problem{
+		N: len(idx), Q: q, P: pvec,
+		Eq: []miqp.LinConstraint{{A: ones, B: 1}},
+	}
+	sol, err := miqp.Solve(pr, miqp.Options{})
+	if err != nil || sol.Status != miqp.Optimal {
+		return -1, math.Inf(1)
+	}
+	for r, j := range idx {
+		if sol.X[r] > 0.5 {
+			return j, sol.Objective
+		}
+	}
+	return -1, math.Inf(1)
+}
+
 type dpResult struct {
 	objective float64
 	bounds    []int // segment boundaries, length k+1
@@ -524,14 +652,8 @@ type dpResult struct {
 // objective covering segments [0, b) with k partitions. The DP tables
 // are Optimizer-owned scratch reused across the bisection's λ steps.
 func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
-	if o.reference {
-		return o.solveForLambdaRef(lambda)
-	}
 	S := len(o.segs)
-	K := o.req.MaxLambdas
-	if K > S {
-		K = S
-	}
+	K := min(o.req.MaxLambdas, S)
 	const inf = math.MaxFloat64
 	best, prev, choice := o.dpBest, o.dpPrev, o.dpChoice
 	for b := 0; b <= S; b++ {
@@ -586,14 +708,23 @@ func (o *Optimizer) solveForLambda(lambda float64) (dpResult, bool) {
 	return dpResult{objective: bestObj, bounds: bounds, memIdx: mems}, true
 }
 
+// lambdaSolver answers the λ-relaxed partitioning DP. The bisection is
+// written against it so the test suite's reference planner, which
+// solves through the original dense scans, shares it unchanged.
+type lambdaSolver interface {
+	solveForLambda(lambda float64) (dpResult, bool)
+}
+
 // Optimize computes the plan. With no SLO it returns the exact
 // cost-minimal configuration. With an SLO it first checks whether the
 // cost-optimal plan already complies, and otherwise bisects the
 // Lagrangian multiplier, keeping the cheapest SLO-feasible plan found.
-func (o *Optimizer) Optimize() (*Plan, error) {
-	res, ok := o.solveForLambda(0)
+func (o *Optimizer) Optimize() (*Plan, error) { return o.optimize(o) }
+
+func (o *Optimizer) optimize(s lambdaSolver) (*Plan, error) {
+	res, ok := s.solveForLambda(0)
 	if !ok {
-		return nil, fmt.Errorf("optimizer: model %q has no feasible partitioning under the platform limits", o.req.Model.Name)
+		return nil, o.infeasible()
 	}
 	plan := o.assemble(res, 0)
 	if o.req.SLO <= 0 || plan.EstTime <= o.req.SLO {
@@ -605,7 +736,7 @@ func (o *Optimizer) Optimize() (*Plan, error) {
 	lo, hi := 0.0, 1e-6
 	var feasiblePlan *Plan
 	for iter := 0; iter < 60; iter++ {
-		r, ok := o.solveForLambda(hi)
+		r, ok := s.solveForLambda(hi)
 		if !ok {
 			break
 		}
@@ -620,7 +751,7 @@ func (o *Optimizer) Optimize() (*Plan, error) {
 	if feasiblePlan == nil {
 		// Even the time-greediest plans miss the SLO: return the fastest
 		// plan found, flagged infeasible.
-		r, ok := o.solveForLambda(hi)
+		r, ok := s.solveForLambda(hi)
 		if !ok {
 			r = res
 		}
@@ -631,7 +762,7 @@ func (o *Optimizer) Optimize() (*Plan, error) {
 	// Bisect λ to shave cost while staying feasible.
 	for iter := 0; iter < 40; iter++ {
 		mid := (lo + hi) / 2
-		r, ok := o.solveForLambda(mid)
+		r, ok := s.solveForLambda(mid)
 		if !ok {
 			break
 		}
@@ -658,12 +789,7 @@ func (o *Optimizer) assemble(res dpResult, lambda float64) *Plan {
 		a, b := res.bounds[i], res.bounds[i+1]
 		sc := &o.table[a][b]
 		j := res.memIdx[i]
-		var prof perf.SegmentProfile
-		if o.reference {
-			prof = perf.ProfilePartition(o.req.Model, o.segs, a, b)
-		} else {
-			prof = o.profiler.Profile(a, b)
-		}
+		prof := o.profiler.Profile(a, b)
 		lo, hi, _ := nn.SegmentRange(o.segs, a, b)
 		t, base, _ := o.blockTimeCost(sc, j)
 		cost := base +
@@ -682,14 +808,20 @@ func (o *Optimizer) assemble(res dpResult, lambda float64) *Plan {
 
 // OptimizeCostOnly ignores any SLO and returns the exact cost-minimal
 // plan (λ = 0 dynamic program) — the paper's Baseline 3.
-func (o *Optimizer) OptimizeCostOnly() (*Plan, error) {
-	res, ok := o.solveForLambda(0)
+func (o *Optimizer) OptimizeCostOnly() (*Plan, error) { return o.optimizeCostOnly(o) }
+
+func (o *Optimizer) optimizeCostOnly(s lambdaSolver) (*Plan, error) {
+	res, ok := s.solveForLambda(0)
 	if !ok {
-		return nil, fmt.Errorf("optimizer: model %q has no feasible partitioning under the platform limits", o.req.Model.Name)
+		return nil, o.infeasible()
 	}
 	p := o.assemble(res, 0)
 	p.MeetsSLO = o.req.SLO <= 0 || p.EstTime <= o.req.SLO
 	return p, nil
+}
+
+func (o *Optimizer) infeasible() error {
+	return fmt.Errorf("optimizer: model %q has no feasible partitioning under the platform limits", o.req.Model.Name)
 }
 
 // Optimize is the one-shot convenience: New + Optimize.

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -255,5 +256,56 @@ func TestPlanPerLambdaEstimatesSum(t *testing.T) {
 	}
 	if math.Abs(csum-plan.EstCost) > 1e-12 {
 		t.Fatalf("costs do not sum: %v vs %v", csum, plan.EstCost)
+	}
+}
+
+func TestNewRejectsInvalidRequest(t *testing.T) {
+	// Each case breaks one field; New must refuse it with a wrapped
+	// ErrInvalidRequest instead of panicking (a zero block step divides
+	// by zero building the grid) or planning on nonsense (zero
+	// PeakGFLOPS makes every span's time overflow negative).
+	quota := func(edit func(*pricing.Quota)) func(*Request) {
+		return func(r *Request) {
+			q := pricing.Quota2021()
+			edit(&q)
+			r.Quota = &q
+		}
+	}
+	params := func(edit func(*perf.Params)) func(*Request) {
+		return func(r *Request) { edit(&r.Perf) }
+	}
+	cases := []struct {
+		name string
+		edit func(*Request)
+	}{
+		{"nil model", func(r *Request) { r.Model = nil }},
+		{"MemoryStepMB", quota(func(q *pricing.Quota) { q.MemoryStepMB = 0 })},
+		{"MinMemoryMB", quota(func(q *pricing.Quota) { q.MinMemoryMB = 0 })},
+		{"MinMemoryMB above MaxMemoryMB", quota(func(q *pricing.Quota) { q.MinMemoryMB = q.MaxMemoryMB + 1 })},
+		{"Timeout", quota(func(q *pricing.Quota) { q.Timeout = 0 })},
+		{"PeakGFLOPS", params(func(p *perf.Params) { p.PeakGFLOPS = 0 })},
+		{"DepsInitSecPerMB", params(func(p *perf.Params) { p.DepsInitSecPerMB = -0.01 })},
+		{"WeightsLoadSecPerMB", params(func(p *perf.Params) { p.WeightsLoadSecPerMB = math.NaN() })},
+		{"ColdStartBase", params(func(p *perf.Params) { p.ColdStartBase = -time.Millisecond })},
+		{"InvokeOverhead", params(func(p *perf.Params) { p.InvokeOverhead = -time.Millisecond })},
+		{"MemPressureAlpha", params(func(p *perf.Params) { p.MemPressureAlpha = -0.1 })},
+		{"SaturationMB", params(func(p *perf.Params) { p.SaturationMB = 0 })},
+		{"DepsMB", params(func(p *perf.Params) { p.DepsMB = math.Inf(1) })},
+		{"HandlerMB", params(func(p *perf.Params) { p.HandlerMB = math.Inf(-1) })},
+		{"RuntimeOverheadMB", params(func(p *perf.Params) { p.RuntimeOverheadMB = -1 })},
+		{"BatchMarginal", params(func(p *perf.Params) { p.BatchMarginal = math.NaN() })},
+	}
+	for _, c := range cases {
+		req := request("tinycnn")
+		c.edit(&req)
+		if _, err := New(req); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("%s: New error %v, want ErrInvalidRequest", c.name, err)
+		}
+		if _, err := Optimize(req); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("%s: Optimize error %v, want ErrInvalidRequest", c.name, err)
+		}
+	}
+	if _, err := New(request("tinycnn")); err != nil {
+		t.Fatalf("default request rejected: %v", err)
 	}
 }

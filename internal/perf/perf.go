@@ -10,6 +10,8 @@
 package perf
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"ampsinf/internal/nn"
@@ -67,6 +69,43 @@ func Default() Params {
 	}
 }
 
+// Validate reports parameters that make the time model ill-posed: a
+// negative, NaN or infinite field, a non-positive PeakGFLOPS (infinite
+// compute time) or a non-positive SaturationMB. Valid parameters make a
+// span's end-to-end time non-increasing in its memory allocation — the
+// CPU share never falls and the pressure penalty never rises as memory
+// grows — which the planner's bounded block scan relies on.
+func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"PeakGFLOPS", p.PeakGFLOPS},
+		{"DepsInitSecPerMB", p.DepsInitSecPerMB},
+		{"WeightsLoadSecPerMB", p.WeightsLoadSecPerMB},
+		{"MemPressureAlpha", p.MemPressureAlpha},
+		{"DepsMB", p.DepsMB},
+		{"HandlerMB", p.HandlerMB},
+		{"RuntimeOverheadMB", p.RuntimeOverheadMB},
+		{"BatchMarginal", p.BatchMarginal},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("perf: %s = %v, want a finite non-negative value", f.name, f.v)
+		}
+	}
+	switch {
+	case p.ColdStartBase < 0:
+		return fmt.Errorf("perf: ColdStartBase = %v is negative", p.ColdStartBase)
+	case p.InvokeOverhead < 0:
+		return fmt.Errorf("perf: InvokeOverhead = %v is negative", p.InvokeOverhead)
+	case p.PeakGFLOPS == 0:
+		return fmt.Errorf("perf: PeakGFLOPS must be positive")
+	case p.SaturationMB <= 0:
+		return fmt.Errorf("perf: SaturationMB = %d must be positive", p.SaturationMB)
+	}
+	return nil
+}
+
 // BatchFLOPs returns the effective compute of serving a batch of n
 // images whose single-image compute is flops.
 func (p Params) BatchFLOPs(flops int64, n int) int64 {
@@ -104,7 +143,22 @@ func (p Params) Penalty(memMB int, wsMB float64) float64 {
 // scale converts full-share work seconds into wall seconds at memMB.
 func (p Params) scale(workSec float64, memMB int, wsMB float64) time.Duration {
 	wall := workSec / p.Share(memMB) * p.Penalty(memMB, wsMB)
-	return time.Duration(wall * float64(time.Second))
+	return durationOf(wall * float64(time.Second))
+}
+
+// maxTerm caps each scaled term of the time model, so that the three
+// terms of EndToEndTime and its fixed overheads cannot overflow
+// time.Duration. A term that long (over 73 years) is far past any
+// platform timeout; saturating instead of wrapping negative keeps time
+// non-increasing in memory.
+const maxTerm = time.Duration(math.MaxInt64 / 4)
+
+// durationOf converts nanoseconds to a Duration, saturating at maxTerm.
+func durationOf(ns float64) time.Duration {
+	if ns < float64(maxTerm) {
+		return time.Duration(ns)
+	}
+	return maxTerm
 }
 
 // WorkingSetMB estimates the resident working set of a function serving

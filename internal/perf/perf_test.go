@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -188,5 +189,26 @@ func TestEndToEndTimeComposition(t *testing.T) {
 		p.ComputeTime(1024, 1e9, 10<<20)
 	if total != parts {
 		t.Fatalf("composition mismatch: %v vs %v", total, parts)
+	}
+}
+
+func TestTimeSaturatesInsteadOfWrapping(t *testing.T) {
+	// At a compute rate of 1 FLOP/s a 4 GFLOP forward pass takes
+	// decades, past time.Duration's range once scaled to a small
+	// allocation. The time model must saturate, not wrap to a negative
+	// time, and stay non-increasing in memory.
+	p := Default()
+	p.PeakGFLOPS = 1e-9
+	prev := time.Duration(math.MaxInt64)
+	e := p.SpanEval(4_000_000_000, 16<<20)
+	for _, mem := range []int{128, 256, 1024, 3008, 10240} {
+		got := p.EndToEndTime(mem, 4_000_000_000, 16<<20)
+		if got <= 0 || got > prev {
+			t.Fatalf("mem=%d: time %v after %v", mem, got, prev)
+		}
+		if at := e.TimeAt(p.Block(mem)); at != got {
+			t.Fatalf("mem=%d: TimeAt %v != EndToEndTime %v", mem, at, got)
+		}
+		prev = got
 	}
 }

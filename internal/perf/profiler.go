@@ -47,13 +47,14 @@ func (sp *SpanProfiler) Profile(sLo, sHi int) SegmentProfile {
 
 // EndToEndEval evaluates EndToEndTime for one fixed partition profile
 // across many memory blocks, hoisting the per-span invariants (working
-// set, full-share work seconds) out of the per-block loop. Time(mem) is
-// bit-identical to Params.EndToEndTime(mem, flops, weightsBytes): the
-// hoisted subexpressions are pure functions of span-constant inputs, so
-// reusing their values performs exactly the same float operations.
+// set, pressure numerator, full-share work seconds) out of the
+// per-block loop. TimeAt(p.Block(mem)) is bit-identical to
+// Params.EndToEndTime(mem, flops, weightsBytes): the hoisted
+// subexpressions are pure functions of span- or block-constant inputs,
+// so reusing their values performs exactly the same float operations.
 type EndToEndEval struct {
-	p        Params
 	ws       float64
+	aws      float64 // MemPressureAlpha·ws, the Penalty numerator
 	depsWork float64
 	loadWork float64
 	compWork float64
@@ -64,9 +65,10 @@ type EndToEndEval struct {
 // compute and weight footprint.
 func (p Params) SpanEval(flops, weightsBytes int64) EndToEndEval {
 	mb := float64(weightsBytes) / (1 << 20)
+	ws := p.WorkingSetMB(weightsBytes)
 	return EndToEndEval{
-		p:        p,
-		ws:       p.WorkingSetMB(weightsBytes),
+		ws:       ws,
+		aws:      p.MemPressureAlpha * ws,
 		depsWork: p.DepsMB * p.DepsInitSecPerMB,
 		loadWork: mb * p.WeightsLoadSecPerMB,
 		compWork: float64(flops) / (p.PeakGFLOPS * 1e9),
@@ -74,13 +76,32 @@ func (p Params) SpanEval(flops, weightsBytes int64) EndToEndEval {
 	}
 }
 
-// Time returns the cold-start end-to-end serving time at memMB,
+// Block holds the memory-only operands of the time model for one
+// allocation, so a planner sweeping many spans over one block grid
+// derives them once per block rather than once per (span, block).
+type Block struct {
+	share float64 // Share(memMB)
+	mem   float64 // float64(memMB); 0 when memMB ≤ 0 (no pressure term)
+}
+
+// Block precomputes the per-allocation operands for memMB.
+func (p Params) Block(memMB int) Block {
+	b := Block{share: p.Share(memMB)}
+	if memMB > 0 {
+		b.mem = float64(memMB)
+	}
+	return b
+}
+
+// TimeAt returns the cold-start end-to-end serving time at block b,
 // excluding network transfers (as EndToEndTime does).
-func (e *EndToEndEval) Time(memMB int) time.Duration {
-	share := e.p.Share(memMB)
-	pen := e.p.Penalty(memMB, e.ws)
+func (e *EndToEndEval) TimeAt(b Block) time.Duration {
+	pen := 1.0
+	if b.mem > 0 && e.ws > 0 {
+		pen = 1 + e.aws/b.mem
+	}
 	scale := func(work float64) time.Duration {
-		return time.Duration(work / share * pen * float64(time.Second))
+		return durationOf(work / b.share * pen * float64(time.Second))
 	}
 	return e.base + scale(e.depsWork) + scale(e.loadWork) + scale(e.compWork)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // The fast planner path substitutes SpanProfiler.Profile and
-// EndToEndEval.Time for ProfilePartition and EndToEndTime; plan
+// EndToEndEval.TimeAt for ProfilePartition and EndToEndTime; plan
 // byte-identity rests on these being exactly equal, so the tests demand
 // bit-for-bit equality, not approximation.
 
@@ -39,7 +39,7 @@ func TestSpanEvalMatchesEndToEndTime(t *testing.T) {
 			e := p.SpanEval(flops, weights)
 			for mem := 128; mem <= 10240; mem += 7 {
 				want := p.EndToEndTime(mem, flops, weights)
-				if got := e.Time(mem); got != want {
+				if got := e.TimeAt(p.Block(mem)); got != want {
 					t.Fatalf("flops=%d weights=%d mem=%d: %v != %v", flops, weights, mem, got, want)
 				}
 			}
@@ -56,7 +56,24 @@ func TestSpanEvalNonDefaultParams(t *testing.T) {
 	p.PeakGFLOPS = 1.25
 	e := p.SpanEval(3_000_000_000, 40<<20)
 	for _, mem := range []int{128, 1024, 2047, 2048, 2049, 3008} {
-		if got, want := e.Time(mem), p.EndToEndTime(mem, 3_000_000_000, 40<<20); got != want {
+		if got, want := e.TimeAt(p.Block(mem)), p.EndToEndTime(mem, 3_000_000_000, 40<<20); got != want {
+			t.Fatalf("mem=%d: %v != %v", mem, got, want)
+		}
+	}
+	// An empty working set and non-positive allocations take Penalty's
+	// no-pressure branch.
+	p = Default()
+	p.DepsMB, p.HandlerMB, p.RuntimeOverheadMB = 0, 0, 0
+	e = p.SpanEval(1_000_000, 0)
+	for _, mem := range []int{-64, 0, 128, 4096} {
+		if got, want := e.TimeAt(p.Block(mem)), p.EndToEndTime(mem, 1_000_000, 0); got != want {
+			t.Fatalf("empty working set, mem=%d: %v != %v", mem, got, want)
+		}
+	}
+	p = Default()
+	e = p.SpanEval(1_000_000, 1<<20)
+	for _, mem := range []int{-64, 0} {
+		if got, want := e.TimeAt(p.Block(mem)), p.EndToEndTime(mem, 1_000_000, 1<<20); got != want {
 			t.Fatalf("mem=%d: %v != %v", mem, got, want)
 		}
 	}
